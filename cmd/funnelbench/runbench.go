@@ -16,11 +16,13 @@ import (
 	"math/rand"
 	"os"
 	"runtime"
+	"sort"
 	"time"
 
 	"repro/internal/baselines"
 	"repro/internal/changelog"
 	"repro/internal/funnel"
+	"repro/internal/obs"
 	"repro/internal/sst"
 	"repro/internal/workload"
 )
@@ -295,10 +297,71 @@ func runBenchSuite(iters int, outPath, checkPath string) error {
 		}
 	})
 
+	overhead, err := collectorOverhead(assessor, sc, changes, fleetIters)
+	if err != nil {
+		return err
+	}
+	fmt.Printf("  collector overhead on assess-change: %.3f× (cap %.2f×)\n", overhead, collectorOverheadCap)
+
 	if checkPath != "" {
+		if overhead > collectorOverheadCap {
+			return fmt.Errorf("collector overhead on assess-change %.3f× above cap %.2f×", overhead, collectorOverheadCap)
+		}
 		return checkAgainstBaseline(checkPath, cal, entries)
 	}
 	return writeBenchFile(outPath, "funnel-bench/v1", cal, entries)
+}
+
+// collectorOverheadCap bounds what a live collector may add to one
+// change assessment. The same scorer runs with or without it, so its
+// cost is a few clock reads and histogram updates per KPI plus the
+// trace it builds.
+const collectorOverheadCap = 1.05
+
+// collectorOverhead times plain (the one-worker fleet/assess-change
+// assessor) against the same configuration with a collector attached,
+// and returns the median ratio of five rounds. Rounds pair per call:
+// each change is assessed by both back to back, in alternating order,
+// so host drift hits both sides alike.
+func collectorOverhead(plain *funnel.Assessor, sc *workload.Scenario, changes []changelog.Change, iters int) (float64, error) {
+	cfg := plain.Config()
+	cfg.Obs = obs.NewCollector()
+	watched, err := funnel.NewAssessor(sc.Source, sc.Topo, cfg)
+	if err != nil {
+		return 0, err
+	}
+	iters = max(iters, 4*len(changes))
+	assess := func(a *funnel.Assessor, c changelog.Change) time.Duration {
+		t0 := time.Now()
+		if _, err := a.Assess(c); err != nil {
+			panic(err)
+		}
+		return time.Since(t0)
+	}
+	for _, c := range changes { // warm pools and lazily grown buffers
+		assess(plain, c)
+		assess(watched, c)
+	}
+	ratios := make([]float64, 5)
+	for r := range ratios {
+		runtime.GC()
+		var off, on time.Duration
+		for i := 0; i < iters; i++ {
+			c := changes[i%len(changes)]
+			if i%2 == 0 {
+				off += assess(plain, c)
+				on += assess(watched, c)
+			} else {
+				on += assess(watched, c)
+				off += assess(plain, c)
+			}
+		}
+		ratios[r] = float64(on) / float64(off)
+		fmt.Printf("  collector round %d: nil %.2f ms/op, on %.2f ms/op, ratio %.3f×\n",
+			r+1, float64(off)/float64(iters)/1e6, float64(on)/float64(iters)/1e6, ratios[r])
+	}
+	sort.Float64s(ratios)
+	return ratios[len(ratios)/2], nil
 }
 
 // writeBenchFile commits a measured entry set as a baseline document.

@@ -525,11 +525,8 @@ func TestDaemonStreamMode(t *testing.T) {
 	}
 
 	// The pull-mode daemon over the same measurements agrees verdict
-	// for verdict.
-	// A collector on both daemons keeps them in the same scorer regime
-	// (the instrumented per-window scorer); without one the pull daemon
-	// would take the sliding-sweep path, which agrees on verdicts but
-	// not bit-for-bit on scores.
+	// for verdict. Both run the same sliding sweep; a collector only
+	// watches, so attaching one to either side changes nothing.
 	store2 := monitor.NewStore(start, time.Minute)
 	d2, err := Start(Config{
 		Store:      store2,

@@ -143,70 +143,96 @@ func (d *Gate) DetectScored(x, scores []float64) []Detection {
 }
 
 // fromScores applies the persistence rule to a precomputed score
-// slice aligned with x. A run accumulates above-threshold bins and
-// tolerates up to MaxGap consecutive sub-threshold bins; it is declared
-// once it holds Persistence above-threshold bins, at the bin of the
-// Persistence-th hit.
+// slice aligned with x, keeping every declared run as a Detection.
 func (d *Gate) fromScores(x, scores []float64) []Detection {
-	per := d.persistence()
-	gap := d.MaxGap
-	if gap < 0 {
-		gap = 0
-	}
 	future := 1
 	if d.Scorer != nil {
 		future = d.Scorer.Config().FutureSpan()
 	}
 	var out []Detection
-	run := -1      // start of the current run
-	lastHit := -1  // last above-threshold bin of the run
-	hits := 0      // above-threshold bins in the run
-	declared := -1 // bin of the per-th hit, -1 until reached
-	peak := 0.0
-
-	flush := func() {
-		if run >= 0 {
-			if d.OnRun != nil {
-				d.OnRun(hits >= per)
-			}
-			if hits >= per {
-				det := Detection{
-					Start:       run,
-					DeclaredAt:  declared,
-					AvailableAt: declared + future - 1,
-					End:         lastHit,
-					Peak:        peak,
-				}
-				det.Kind = Classify(x, det.Start, det.End)
-				out = append(out, det)
-			}
-		}
-		run, lastHit, hits, declared, peak = -1, -1, 0, -1, 0
+	rs := d.newRuns()
+	keep := func() {
+		r := rs.done
+		det := Detection{Start: r.start, DeclaredAt: r.at, AvailableAt: r.at + future - 1, End: r.end, Peak: r.peak}
+		det.Kind = Classify(x, det.Start, det.End)
+		out = append(out, det)
 	}
 	for i, v := range scores {
-		above := !math.IsNaN(v) && v >= d.Threshold
-		if above {
-			if run < 0 {
-				run = i
-			}
-			hits++
-			lastHit = i
-			if hits == per {
-				declared = i
-			}
-			if v > peak {
-				peak = v
-			}
-			continue
-		}
-		// NaN always terminates a run (the scorer has no window there);
-		// a finite low score is tolerated up to MaxGap bins.
-		if run >= 0 && (math.IsNaN(v) || i-lastHit > gap) {
-			flush()
+		if _, closed := rs.step(i, v); closed {
+			keep()
 		}
 	}
-	flush()
+	if rs.flush() {
+		keep()
+	}
 	return out
+}
+
+// run is one score run over bins start..end holding hits
+// above-threshold bins; at is the bin of the per-th hit, -1 until then.
+type run struct {
+	start, end, hits, at int
+	peak                 float64
+}
+
+// runs is the §4.1 persistence rule as a resumable state machine fed
+// one (bin, score) pair at a time; fromScores and Stream both step it.
+// A run accumulates above-threshold bins and tolerates up to gap
+// consecutive sub-threshold bins. It is declared once it holds per
+// above-threshold bins, at the bin of the per-th hit.
+type runs struct {
+	threshold float64
+	per, gap  int
+	onRun     func(declared bool)
+	cur       run // the open run; cur.start < 0 when none is open
+	done      run // the run flush last closed
+}
+
+// newRuns returns the gate's persistence rule with no run open.
+func (d *Gate) newRuns() runs {
+	return runs{threshold: d.Threshold, per: d.persistence(), gap: max(d.MaxGap, 0), onRun: d.OnRun, cur: run{start: -1, at: -1}}
+}
+
+// step feeds the score of bin i; bins must arrive in increasing order.
+// fired reports that bin i completed the open run's persistence
+// requirement; closed reports that the score closed a declared run,
+// which is then in r.done.
+func (r *runs) step(i int, v float64) (fired, closed bool) {
+	if v >= r.threshold { // false for NaN
+		if r.cur.start < 0 {
+			r.cur.start = i
+		}
+		r.cur.hits++
+		r.cur.end = i
+		if v > r.cur.peak {
+			r.cur.peak = v
+		}
+		if r.cur.hits == r.per {
+			r.cur.at = i
+			return true, false
+		}
+		return false, false
+	}
+	// NaN always terminates a run (the scorer has no window there); a
+	// finite low score is tolerated up to gap bins.
+	if r.cur.start >= 0 && (math.IsNaN(v) || i-r.cur.end > r.gap) {
+		return false, r.flush()
+	}
+	return false, false
+}
+
+// flush closes the open run, if any, into r.done, reports the
+// decision to onRun, and returns whether the run was declared.
+func (r *runs) flush() bool {
+	if r.cur.start < 0 {
+		return false
+	}
+	r.done, r.cur = r.cur, run{start: -1, at: -1}
+	declared := r.done.hits >= r.per
+	if r.onRun != nil {
+		r.onRun(declared)
+	}
+	return declared
 }
 
 // MaskScores returns a copy of scores with NaN written at every

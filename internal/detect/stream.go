@@ -1,10 +1,6 @@
 package detect
 
-import (
-	"math"
-
-	"repro/internal/sst"
-)
+import "repro/internal/sst"
 
 // Stream is the online form of Gate: feed KPI samples one bin at a
 // time with Push and receive declarations the moment the persistence
@@ -24,27 +20,18 @@ type Stream struct {
 	absBase int
 	// n is the number of samples pushed so far.
 	n int
-
-	// run state mirrors Gate.fromScores.
-	run      int
-	lastHit  int
-	hits     int
-	declared int
-	peak     float64
-	// open marks a run already declared (so End updates don't re-fire).
-	fired bool
+	// runs is the gate's persistence rule, stepped once per scored bin.
+	runs runs
 }
 
 // NewStream wraps a detector for online use.
 func NewStream(det *Gate) *Stream {
 	cfg := det.Scorer.Config()
 	return &Stream{
-		det:      det,
-		cfg:      cfg,
-		window:   make([]float64, 0, cfg.WindowSize()),
-		run:      -1,
-		lastHit:  -1,
-		declared: -1,
+		det:    det,
+		cfg:    cfg,
+		window: make([]float64, 0, cfg.WindowSize()),
+		runs:   det.newRuns(),
 	}
 }
 
@@ -88,43 +75,12 @@ func (s *Stream) Push(v float64) (Declaration, bool) {
 	// The scoreable bin inside the window sits PastSpan from its start.
 	tLocal := s.cfg.PastSpan()
 	score := s.det.Scorer.ScoreAt(s.window, tLocal)
-	scoredBin := s.absBase + tLocal
-	return s.observe(scoredBin, score)
-}
-
-// observe advances the run state with one (bin, score) pair.
-func (s *Stream) observe(bin int, score float64) (Declaration, bool) {
-	per := s.det.persistence()
-	gap := s.det.MaxGap
-	if gap < 0 {
-		gap = 0
-	}
-	above := !math.IsNaN(score) && score >= s.det.Threshold
-	if above {
-		if s.run < 0 {
-			s.run = bin
-			s.hits = 0
-			s.fired = false
-			s.peak = 0
-		}
-		s.hits++
-		s.lastHit = bin
-		if score > s.peak {
-			s.peak = score
-		}
-		if s.hits == per && !s.fired {
-			s.fired = true
-			s.declared = bin
-			return Declaration{
-				Start: s.run,
-				At:    s.n - 1, // wall clock: the bin just pushed
-				Score: score,
-			}, true
-		}
-		return Declaration{}, false
-	}
-	if s.run >= 0 && (math.IsNaN(score) || bin-s.lastHit > gap) {
-		s.run, s.hits, s.lastHit, s.declared, s.peak, s.fired = -1, 0, -1, -1, 0, false
+	if fired, _ := s.runs.step(s.absBase+tLocal, score); fired {
+		return Declaration{
+			Start: s.runs.cur.start,
+			At:    s.n - 1, // wall clock: the bin just pushed
+			Score: score,
+		}, true
 	}
 	return Declaration{}, false
 }
@@ -133,4 +89,4 @@ func (s *Stream) observe(bin int, score float64) (Declaration, bool) {
 func (s *Stream) Len() int { return s.n }
 
 // InRun reports whether an above-threshold run is currently open.
-func (s *Stream) InRun() bool { return s.run >= 0 }
+func (s *Stream) InRun() bool { return s.runs.cur.start >= 0 }

@@ -46,6 +46,36 @@ func TestStreamMatchesBatchDeclaration(t *testing.T) {
 	}
 }
 
+// TestStreamRunsReachOnRun pins the shared persistence rule: every run
+// the stream closes reaches OnRun with the same decision the batch
+// gate makes for it. The batch scan additionally flushes a run still
+// open at the end of the series, so the stream's decisions must be a
+// prefix of the batch's.
+func TestStreamRunsReachOnRun(t *testing.T) {
+	rng := rand.New(rand.NewSource(106))
+	x := genLevelShift(400, 150, 8, 0.5, rng)
+	var batch, stream []bool
+	det := streamDetector()
+	det.OnRun = func(declared bool) { batch = append(batch, declared) }
+	det.Detect(x)
+	det.OnRun = func(declared bool) { stream = append(stream, declared) }
+	s := NewStream(det)
+	for _, v := range x {
+		s.Push(v)
+	}
+	if len(stream) == 0 {
+		t.Fatal("stream closed no run")
+	}
+	if len(stream) > len(batch) {
+		t.Fatalf("stream closed %d runs, batch %d", len(stream), len(batch))
+	}
+	for i := range stream {
+		if stream[i] != batch[i] {
+			t.Fatalf("run %d: stream declared=%v, batch declared=%v", i, stream[i], batch[i])
+		}
+	}
+}
+
 func TestStreamQuietSeriesSilent(t *testing.T) {
 	rng := rand.New(rand.NewSource(101))
 	x := genLevelShift(500, 1<<30, 0, 0.5, rng)

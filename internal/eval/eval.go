@@ -205,7 +205,7 @@ func TimePerWindow(fn func(), n int) time.Duration {
 // CoresForMillionKPIs converts a per-window cost into the number of CPU
 // cores needed to score one million KPIs every minute, the last row of
 // Table 2.
-func CoresForMillionKPIs(perWindow time.Duration) int {
-	perCorePerMinute := float64(time.Minute) / float64(perWindow)
+func CoresForMillionKPIs(cost time.Duration) int {
+	perCorePerMinute := float64(time.Minute) / float64(cost)
 	return int(math.Ceil(1e6 / perCorePerMinute))
 }

@@ -11,6 +11,7 @@ import (
 	"repro/internal/monitor"
 	"repro/internal/obs"
 	"repro/internal/sst"
+	"repro/internal/timeseries"
 	"repro/internal/topo"
 )
 
@@ -115,12 +116,15 @@ type assessTask struct {
 // kpiStream is the incremental score state for one (change, KPI) pair:
 // the assessment window [absLo, absLo+segLen) in store-absolute bins,
 // the raw prefix streamed so far, its gap-filled image, and the score
-// positions completed by the resumable sweep.
+// positions completed by the resumable sweep. pastSpan and futSpan size
+// the window exactly as the batch path does (from cfg.SST); scoreFut is
+// the scorer's own lookahead, which bounds the positions it can score.
 type kpiStream struct {
 	key      topo.KPIKey
 	changeAt time.Time
 	pastSpan int
 	futSpan  int
+	scoreFut int
 	window   int // cfg.WindowBins
 
 	mu       sync.Mutex
@@ -131,11 +135,10 @@ type kpiStream struct {
 	scores   []float64 // len segLen; NaN until scored
 	scratch  []float64 // RangeInto reuse buffer
 	lastReal int       // index of last non-NaN raw bin, -1 when none
-	next     int       // next score position (segment frame)
 	invalid  bool      // geometry unrecoverable (change pruned away)
-
-	perWindow bool             // obs-instrumented scorer: position-independent ScoreAt
-	sweep     *sst.StreamSweep // stateful sliding sweep otherwise
+	// sweep is the resumable sweep; its Pos is the next score position
+	// (segment frame).
+	sweep *sst.StreamSweep
 
 	enq atomic.Bool // already sitting in the advance queue
 }
@@ -267,26 +270,28 @@ func (sr *Streamer) RegisterChange(c changelog.Change) error {
 	return nil
 }
 
-// newKPIStream builds the score state for one treated KPI, picking the
-// scoring mode that mirrors the assessor's batch path exactly: the
-// stateful sliding sweep when the batch path would run ScoreRangeInto,
-// the position-independent per-window scorer when instrumentation
-// wrapped it.
+// newKPIStream builds the score state for one treated KPI. It drives
+// the assessor's own scorer through a resumable sweep, which replays
+// the batch sweep bit for bit: the warm-started sliding sweep for SST,
+// and for any other detector a sliding wrapper whose sweep falls back
+// to per-window ScoreAt.
 func (sr *Streamer) newKPIStream(key topo.KPIKey, changeAt time.Time) *kpiStream {
 	cfg := sr.assessor.cfg
+	scorer := sr.assessor.scorer
 	ks := &kpiStream{
 		key:      key,
 		changeAt: changeAt,
 		pastSpan: cfg.SST.PastSpan(),
 		futSpan:  cfg.SST.FutureSpan(),
+		scoreFut: scorer.Config().FutureSpan(),
 		window:   cfg.WindowBins,
 		lastReal: -1,
 	}
-	if sl, ok := sr.assessor.scorer.(*sst.SlidingScorer); ok {
-		ks.sweep = sl.NewStream()
-	} else {
-		ks.perWindow = true
+	sl, ok := scorer.(*sst.SlidingScorer)
+	if !ok {
+		sl = sst.NewSliding(scorer)
 	}
+	ks.sweep = sl.NewStream()
 	ks.mu.Lock()
 	ks.rebaseLocked(sr.store)
 	ks.mu.Unlock()
@@ -319,7 +324,6 @@ func (ks *kpiStream) resetLocked() {
 	ks.raw = ks.raw[:0]
 	ks.filled = ks.filled[:0]
 	ks.lastReal = -1
-	ks.next = ks.pastSpan
 	if cap(ks.scores) < ks.segLen {
 		ks.scores = make([]float64, ks.segLen)
 	}
@@ -327,9 +331,7 @@ func (ks *kpiStream) resetLocked() {
 	for i := range ks.scores {
 		ks.scores[i] = math.NaN()
 	}
-	if ks.sweep != nil {
-		ks.sweep.Reset(0)
-	}
+	ks.sweep.Reset(0)
 }
 
 // advance re-reads the window from the store, verifies the previously
@@ -395,61 +397,29 @@ func (ks *kpiStream) advance(sr *Streamer) {
 	// extrapolate them today and replace them when data arrives, so
 	// scores touching them are not yet stable and must wait.
 	stable := ks.lastReal + 1
-	hi := ks.segLen - ks.futSpan + 1
+	hi := ks.segLen - ks.scoreFut + 1
 	x := ks.filled[:stable]
-	advanced := false
-	for ks.next < hi && ks.next+ks.futSpan <= stable {
-		if ks.perWindow {
-			ks.scores[ks.next] = sr.assessor.scorer.ScoreAt(x, ks.next)
-		} else {
-			ks.scores[ks.next] = ks.sweep.Next(x)
-		}
-		ks.next++
-		advanced = true
+	t0 := sr.col.Now()
+	scored := 0
+	for t := ks.sweep.Pos(); t < hi && t+ks.scoreFut <= stable; t = ks.sweep.Pos() {
+		ks.scores[t] = ks.sweep.Next(x)
+		scored++
 	}
-	if advanced && sr.col != nil {
+	if scored > 0 && sr.col != nil {
+		sr.col.ObserveN(obs.StageSSTWindow, time.Since(t0), scored)
 		sr.col.Add(obs.CtrStreamAdvances, 1)
 	}
 }
 
-// refillLocked rebuilds filled[:lastReal+1] as timeseries.FillGaps
-// would over that prefix. The transform is prefix-stable: a bin's
-// filled value depends only on the nearest real bins around it, all at
-// or before lastReal, so growing the series append-only never changes
-// already-filled positions — which is exactly what the resumable sweep
-// requires of its input.
+// refillLocked rebuilds filled[:lastReal+1] by running
+// timeseries.FillGaps over that prefix. The transform is prefix-stable:
+// a bin's filled value depends only on the nearest real bins around it,
+// all at or before lastReal, so growing the series append-only never
+// changes already-filled positions — which is exactly what the
+// resumable sweep requires of its input.
 func (ks *kpiStream) refillLocked() {
-	n := ks.lastReal + 1
-	if cap(ks.filled) < n {
-		ks.filled = append(ks.filled[:cap(ks.filled)], make([]float64, n-cap(ks.filled))...)
-	}
-	ks.filled = ks.filled[:n]
-	copy(ks.filled, ks.raw[:n])
-	v := ks.filled
-	first := -1
-	for i := range v {
-		if !math.IsNaN(v[i]) {
-			first = i
-			break
-		}
-	}
-	for i := 0; i < first; i++ {
-		v[i] = v[first]
-	}
-	last := first
-	for i := first + 1; i < n; i++ {
-		if math.IsNaN(v[i]) {
-			continue
-		}
-		if i > last+1 {
-			span := float64(i - last)
-			for k := last + 1; k < i; k++ {
-				frac := float64(k-last) / span
-				v[k] = v[last]*(1-frac) + v[i]*frac
-			}
-		}
-		last = i
-	}
+	ks.filled = append(ks.filled[:0], ks.raw[:ks.lastReal+1]...)
+	(&timeseries.Series{Values: ks.filled}).FillGaps()
 }
 
 // cached returns a copy of the completed score series when it provably
@@ -460,7 +430,7 @@ func (ks *kpiStream) cached(absLo int, segment []float64) []float64 {
 	if ks.invalid || absLo != ks.absLo || len(segment) != ks.segLen {
 		return nil
 	}
-	if ks.next < ks.segLen-ks.futSpan+1 || ks.lastReal+1 < ks.segLen {
+	if ks.sweep.Pos() < ks.segLen-ks.scoreFut+1 || ks.lastReal+1 < ks.segLen {
 		return nil // sweep not complete over the full window
 	}
 	// The batch path scores its gap-filled segment; ours must agree

@@ -200,21 +200,26 @@ func runStreamCase(t *testing.T, cfg Config, scfg StreamConfig, gap func(srv str
 		t.Fatalf("streaming report was served without a single cache hit (misses=%d)", cc.misses.Load())
 	}
 
-	// The batch truth over the identical store. A separate collector
-	// keeps the streaming one's counters clean.
-	bcfg := cfg
-	if bcfg.Obs != nil {
-		bcfg.Obs = obs.NewCollector()
+	// The batch truth over the identical store, once with the
+	// streamer's collector setting and once with it flipped (nil ↔
+	// collector): watching must not change a single field. A separate
+	// collector keeps the streaming one's counters clean.
+	for _, observed := range []bool{cfg.Obs != nil, cfg.Obs == nil} {
+		bcfg := cfg
+		bcfg.Obs = nil
+		if observed {
+			bcfg.Obs = obs.NewCollector()
+		}
+		ba, err := NewAssessor(store, fx.buildTopo(), bcfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		brep, err := ba.Assess(fx.change)
+		if err != nil {
+			t.Fatal(err)
+		}
+		compareReports(t, rep, brep)
 	}
-	ba, err := NewAssessor(store, fx.buildTopo(), bcfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	brep, err := ba.Assess(fx.change)
-	if err != nil {
-		t.Fatal(err)
-	}
-	compareReports(t, rep, brep)
 
 	// Sanity beyond equality: the shift on on-0 must be flagged.
 	flagged := rep.Flagged()
@@ -246,8 +251,9 @@ func TestStreamerMatchesBatchSlidingGapsWorkers(t *testing.T) {
 }
 
 func TestStreamerMatchesBatchInstrumented(t *testing.T) {
-	// Obs set: the batch path scores per window (position independent);
-	// the streaming side mirrors it with incremental per-window calls.
+	// Obs set: the collector only watches, so the streaming side drives
+	// the same resumable sliding sweep as without one, timed once per
+	// advance.
 	cfg := Config{ServerMetrics: []string{"mem.util"}, HistoryDays: 2, Obs: obs.NewCollector()}
 	runStreamCase(t, cfg, StreamConfig{Workers: 2, PollInterval: 20 * time.Millisecond}, nil, true)
 	if cfg.Obs.Counter(obs.CtrStreamCacheHits) == 0 {
@@ -256,6 +262,14 @@ func TestStreamerMatchesBatchInstrumented(t *testing.T) {
 	if cfg.Obs.Counter(obs.CtrStreamAdvances) == 0 {
 		t.Fatal("collector saw no stream advances")
 	}
+}
+
+func TestStreamerMatchesBatchEdivisive(t *testing.T) {
+	// A non-SST detector streams through a sliding wrapper whose sweep
+	// falls back to per-window ScoreAt, scoring only the positions its
+	// own (wider) geometry allows.
+	cfg := Config{ServerMetrics: []string{"mem.util"}, HistoryDays: 2, Detector: "edivisive"}
+	runStreamCase(t, cfg, StreamConfig{Workers: 2, PollInterval: 20 * time.Millisecond}, nil, true)
 }
 
 func TestStreamerMatchesBatchGapMask(t *testing.T) {

@@ -520,11 +520,19 @@ func TestSlowSubscriberDropAccountingUnderChurn(t *testing.T) {
 				}
 				ch, cancel := store.Subscribe(nil, 2)
 				got := 0
-				for m := range ch {
-					_ = m
-					got++
-					if got == 8 {
-						break
+				// Read up to 8, but give up at stop: once the producer
+				// is done nothing closes this subscription, so a bare
+				// range over ch would block forever.
+			read:
+				for got < 8 {
+					select {
+					case _, ok := <-ch:
+						if !ok {
+							break read
+						}
+						got++
+					case <-stop:
+						break read
 					}
 				}
 				drops := cancel()

@@ -29,24 +29,28 @@ type Histogram struct {
 func NewHistogram() *Histogram { return &Histogram{} }
 
 // Observe records one duration. Negative durations clamp to zero.
-func (h *Histogram) Observe(d time.Duration) {
-	ns := int64(d)
-	if ns < 0 {
-		ns = 0
+func (h *Histogram) Observe(d time.Duration) { h.ObserveN(d, 1) }
+
+// ObserveN records n observations of total's mean in one update: the
+// count grows by n, the sum by total, and the mean's bucket by n. Timing
+// a sweep over n windows this way keeps the per-window count and sum
+// exact at two clock reads per sweep. n ≤ 0 records nothing.
+func (h *Histogram) ObserveN(total time.Duration, n int) {
+	if n <= 0 {
+		return
 	}
-	h.count.Add(1)
+	ns := max(int64(total), 0)
+	mean := ns / int64(n)
+	h.count.Add(int64(n))
 	h.sum.Add(ns)
 	for {
 		old := h.max.Load()
-		if ns <= old || h.max.CompareAndSwap(old, ns) {
+		if mean <= old || h.max.CompareAndSwap(old, mean) {
 			break
 		}
 	}
-	idx := bits.Len64(uint64(ns / int64(time.Microsecond)))
-	if idx >= histBuckets {
-		idx = histBuckets - 1
-	}
-	h.buckets[idx].Add(1)
+	idx := min(bits.Len64(uint64(mean/int64(time.Microsecond))), histBuckets-1)
+	h.buckets[idx].Add(int64(n))
 }
 
 // Count returns the number of observations.
@@ -79,24 +83,7 @@ func bucketUpper(i int) time.Duration {
 // the bucket where the cumulative count crosses q·count — an upper
 // estimate within one power of two, which is what capacity planning
 // needs from a bounded histogram.
-func (h *Histogram) Quantile(q float64) time.Duration {
-	n := h.count.Load()
-	if n == 0 {
-		return 0
-	}
-	target := int64(q * float64(n))
-	if target < 1 {
-		target = 1
-	}
-	var cum int64
-	for i := 0; i < histBuckets; i++ {
-		cum += h.buckets[i].Load()
-		if cum >= target {
-			return bucketUpper(i)
-		}
-	}
-	return bucketUpper(histBuckets - 1)
-}
+func (h *Histogram) Quantile(q float64) time.Duration { return h.Snapshot().Quantile(q) }
 
 // HistogramSnapshot is a point-in-time copy of a histogram's state (all
 // durations in nanoseconds), taken for renderers that walk the buckets
@@ -124,9 +111,8 @@ func (h *Histogram) Snapshot() HistogramSnapshot {
 	return s
 }
 
-// Quantile estimates the q-quantile of the snapshot, mirroring
-// Histogram.Quantile (bucket upper bound where the cumulative count
-// crosses q·count; 0 when empty).
+// Quantile estimates the q-quantile of the snapshot: the upper bound of
+// the bucket where the cumulative count crosses q·count, 0 when empty.
 func (s HistogramSnapshot) Quantile(q float64) time.Duration {
 	if s.Count == 0 {
 		return 0

@@ -13,9 +13,9 @@
 // Trace answers the per-change questions via /traces/<change-id>.
 //
 // Every method is a nil-safe no-op on a nil *Collector, so library
-// users who configure no telemetry pay only a nil check — the 401.8 µs
-// per-window budget of Table 2 is preserved (BenchmarkPerWindowFUNNEL
-// guards the overhead).
+// users who configure no telemetry pay only a nil check. A collector
+// only watches: observed and unobserved assessments run the same code
+// and produce byte-identical reports.
 package obs
 
 import (
@@ -34,8 +34,10 @@ import (
 const (
 	// StageImpactSet is §3.1's impact-set construction.
 	StageImpactSet = "impact_set"
-	// StageSSTWindow is one sliding-window SST score (the Table-2
-	// unit); observed once per window by the instrumented scorer.
+	// StageSSTWindow counts the sliding windows scored (the Table-2
+	// unit). Each scoring sweep records its windows at the sweep's
+	// mean, so count and sum are exact and the buckets hold per-sweep
+	// means rather than individual windows.
 	StageSSTWindow = "sst_window"
 	// StageSSTScore is the whole scoring pass over one KPI's
 	// assessment window (all sliding windows of that KPI).
@@ -265,6 +267,15 @@ func (c *Collector) Observe(stage string, d time.Duration) {
 		return
 	}
 	c.histogram(stage).Observe(d)
+}
+
+// ObserveN records n observations of total's mean in that stage's
+// histogram (see Histogram.ObserveN).
+func (c *Collector) ObserveN(stage string, total time.Duration, n int) {
+	if c == nil {
+		return
+	}
+	c.histogram(stage).ObserveN(total, n)
 }
 
 // ObserveSince is Observe(stage, time.Since(start)).

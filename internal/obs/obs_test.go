@@ -97,6 +97,26 @@ func TestCountersAndStages(t *testing.T) {
 	}
 }
 
+// TestObserveN pins the batched form: n observations at their mean,
+// with count and sum exact.
+func TestObserveN(t *testing.T) {
+	c := NewCollector()
+	c.ObserveN(StageSSTWindow, 1200*time.Microsecond, 100) // 12 µs each
+	c.ObserveN(StageSSTWindow, time.Second, 0)             // no windows: ignored
+	h := c.Stage(StageSSTWindow)
+	if h.Count() != 100 || h.Sum() != 1200*time.Microsecond {
+		t.Fatalf("count %d sum %v, want 100 and 1.2ms", h.Count(), h.Sum())
+	}
+	if h.Max() != 12*time.Microsecond {
+		t.Fatalf("max = %v, want the 12µs mean", h.Max())
+	}
+	if q := h.Quantile(0.5); q != 16*time.Microsecond {
+		t.Fatalf("p50 = %v, want the 16µs bucket holding the mean", q)
+	}
+	var nilc *Collector
+	nilc.ObserveN(StageSSTWindow, time.Second, 3)
+}
+
 func TestHistogramBucketsAndQuantiles(t *testing.T) {
 	h := NewHistogram()
 	for i := 0; i < 99; i++ {
