@@ -41,7 +41,7 @@
 //
 // and a fifth measures the streaming assessment path — p99
 // bin-to-verdict latency of the assess-on-ingest Streamer against the
-// pull-mode batch sweep at equal ingest rate, plus the attached
+// batch re-sweep at readiness at equal ingest rate, plus the attached
 // feed's cost on AppendBatch throughput (committed as BENCH_5.json;
 // the check enforces the ≥ 5× latency advantage and the ≤ 1.05×
 // ingest-overhead cap described in streambench.go):

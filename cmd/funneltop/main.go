@@ -344,10 +344,11 @@ func formatBytes(b float64) string {
 }
 
 // streamPanel renders the streaming-assessment panel, or nil when the
-// collector carries no streamer telemetry (pull-mode daemon). The
-// first line is backlog and cache state; the second, present once any
-// verdict has been stamped, is the p99 bin-to-verdict sparkline — the
-// SLO the streaming mode exists to hold down.
+// collector carries no streamer telemetry (an embedder serving
+// obs.Collector.Handler without a daemon). The first line is backlog
+// and cache state; the second, present once any verdict has been
+// stamped, is the p99 bin-to-verdict sparkline — the SLO streaming
+// exists to hold down.
 func streamPanel(h *obs.HistoryDump) []string {
 	queueSeries, attached := h.Series[obs.GaugeStreamQueue]
 	advances := last(h.Series[obs.CtrStreamAdvances])

@@ -164,9 +164,10 @@ func TestBalanceNote(t *testing.T) {
 }
 
 func TestStreamPanel(t *testing.T) {
-	// A pull-mode daemon exposes no streamer telemetry: no panel.
+	// A collector with no streamer attached exposes no streamer
+	// telemetry: no panel.
 	if lines := streamPanel(&obs.HistoryDump{Series: map[string][]float64{}}); lines != nil {
-		t.Fatalf("pull-mode daemon rendered a stream panel: %q", lines)
+		t.Fatalf("streamer-free collector rendered a stream panel: %q", lines)
 	}
 
 	// An attached-but-idle streamer (queue gauge registered, nothing

@@ -2,8 +2,8 @@
 // agents push 1-minute KPI measurements into the central store; the
 // store's TCP subscription server forwards them to a FUNNEL consumer
 // process over the wire protocol; when the change log records a
-// software change, the consumer assesses it from the data it has
-// received. Everything runs in one process here, but the two halves
+// software change, the consumer's streaming assessor scores it as the
+// data arrives and reports once the observation window completes. Everything runs in one process here, but the two halves
 // talk only through the TCP socket — split them across machines and
 // nothing changes.
 package main
@@ -56,17 +56,19 @@ func main() {
 		log.Fatal(err)
 	}
 	defer client.Close()
-	// The consumer is the deployed FUNNEL (§5): an Online assessor fed
-	// by the TCP stream, plus a Fleet of per-KPI online detectors for
-	// sub-minute live alarms while the full assessment window fills.
+	// The consumer is the deployed FUNNEL (§5): a Streamer that
+	// advances change scores as the TCP stream lands in its store, plus
+	// a Fleet of per-KPI online detectors for sub-minute live alarms
+	// while the full assessment window fills.
 	consumerStore := funnel.NewStore(start, time.Minute)
-	online, err := funnel.NewOnline(consumerStore, tp, funnel.Config{
+	streamer, err := funnel.NewStreamer(consumerStore, tp, funnel.Config{
 		ServerMetrics: []string{"mem.util"},
 		HistoryDays:   historyD,
-	})
+	}, funnel.StreamConfig{})
 	if err != nil {
 		log.Fatal(err)
 	}
+	defer streamer.Close()
 	// Fleet alarms are pre-DiD: expect occasional noise declarations
 	// here — the full assessment below is what separates them from the
 	// real change (the paper's two-stage design, Fig. 3).
@@ -76,14 +78,13 @@ func main() {
 	go func() {
 		defer close(done)
 		for m := range client.C() {
-			online.HandleMeasurement(m)
+			consumerStore.Append(m)
 			received++
 			if d, ok := fleet.Push(m.Key, m.V); ok {
 				fmt.Printf("LIVE: %v change declared at minute %d (evidence from minute %d, score %.1f)\n",
 					d.Key, d.At, d.Start, d.Score)
 			}
 		}
-		online.Close()
 	}()
 
 	// The operations team registers the change as it deploys (§2.1's
@@ -92,7 +93,7 @@ func main() {
 		ID: "kv-tuning", Type: funnel.ConfigChange, Service: service,
 		Servers: servers[:1], At: start.Add(changeMin * time.Minute),
 	}
-	if err := online.RegisterChange(change); err != nil {
+	if err := streamer.RegisterChange(change); err != nil {
 		log.Fatal(err)
 	}
 
@@ -113,12 +114,15 @@ func main() {
 	<-done
 	fmt.Printf("consumer received %d measurements over TCP\n", received)
 
-	// ---- the full assessment arrives from the Online pipeline ----
-	for report := range online.Reports() {
+	// ---- the full assessment arrives from the streamer ----
+	select {
+	case report := <-streamer.Reports():
 		fmt.Printf("report for %s:\n", report.Change.ID)
 		for _, a := range report.Assessments {
 			fmt.Printf("  %-28s %-20s α=%+6.2f\n", a.Key, a.Verdict, a.Alpha)
 		}
+	case <-time.After(30 * time.Second):
+		log.Fatal("no report: the observation window never completed")
 	}
 }
 

@@ -88,13 +88,18 @@ func DetectionDelay(a Assessment, trueStart int) (int, bool) {
 	return funnel.DetectionDelay(a, trueStart)
 }
 
-// Online is the deployed form of the pipeline: it consumes the
-// measurement stream, accepts change registrations, and emits reports
-// as observation windows complete (§5).
-type Online = funnel.Online
+// Streamer is the deployed form of the pipeline: it accepts change
+// registrations, advances change scores as bins land in the store, and
+// emits reports as observation windows complete (§5).
+type Streamer = funnel.Streamer
 
-// NewOnline builds the online assessor over a store and topology.
-var NewOnline = funnel.NewOnline
+// StreamConfig tunes the streamer's workers and poll cadence; it never
+// changes a verdict.
+type StreamConfig = funnel.StreamConfig
+
+// NewStreamer builds the streaming assessor over a store and topology
+// and starts it; Close stops it.
+var NewStreamer = funnel.NewStreamer
 
 // AssessResult pairs a change with its report in batch assessment.
 type AssessResult = funnel.AssessResult

@@ -1,13 +1,14 @@
 // Package daemon assembles the deployed FUNNEL process (§5): a network
 // ingest endpoint agents publish KPI measurements to, a subscription
 // endpoint downstream consumers can tap, an admin endpoint the
-// operations team registers software changes on, and the Online
-// assessor that emits a report for every registered change once its
-// observation window completes.
+// operations team registers software changes on, and the streaming
+// assessor (funnel.Streamer) that advances change scores as bins land
+// and emits a report for every registered change once its observation
+// window completes.
 //
-// All state mutations — measurements, topology updates, change
-// registrations — flow through one event loop, so the daemon needs no
-// locking beyond what the store provides.
+// The store, the topology and the streamer each guard their own state,
+// so admin commands call straight through from any connection while the
+// streamer's goroutines assess earlier changes.
 package daemon
 
 import (
@@ -58,35 +59,19 @@ type Config struct {
 	// obs.DefaultHistoryStep / obs.DefaultHistoryRetention; the ring
 	// only runs when the daemon has a collector.
 	HistoryStep, HistoryRetention time.Duration
-	// Stream switches the assessment engine from the pull-mode Online
-	// (re-sweep when the observation window completes) to the
-	// push-driven Streamer (per-bin score advance off the store's bin
-	// feed). Reports are byte-identical either way; streaming trades a
-	// small per-bin cost for a much lower bin-to-verdict latency.
+	// Stream is kept so existing callers still compile.
+	//
+	// Deprecated: ignored; the daemon always streams.
 	Stream bool
-	// StreamWorkers / StreamQueue tune the streaming engine (zero =
-	// funnel.StreamConfig defaults). Ignored unless Stream is set.
-	StreamWorkers, StreamQueue int
-}
-
-// assessEngine is the face shared by the pull-mode and streaming
-// assessors.
-type assessEngine interface {
-	RegisterChange(changelog.Change) error
-	Reports() <-chan *funnel.Report
-	Pending() int
-	Close()
+	// StreamWorkers sizes the streamer's scoring pool (zero =
+	// funnel.StreamConfig default).
+	StreamWorkers int
 }
 
 // Daemon is a running FUNNEL service.
 type Daemon struct {
-	store  *monitor.Store
 	topo   *topo.Topology
-	engine assessEngine
-	// online is the pull-mode engine when Config.Stream is off (the
-	// event loop drives its readiness polls); nil in streaming mode,
-	// where the store's bin feed drives the engine instead.
-	online *funnel.Online
+	engine *funnel.Streamer
 	obs    *obs.Collector
 	log    *slog.Logger
 
@@ -95,10 +80,6 @@ type Daemon struct {
 	adminLn   net.Listener
 	debugLn   net.Listener
 	debugSrv  *http.Server
-
-	events chan func()
-	quit   chan struct{}
-	done   chan struct{}
 
 	mu        sync.Mutex
 	adminConn sync.WaitGroup
@@ -149,63 +130,18 @@ func Start(cfg Config) (*Daemon, error) {
 		logger = logger.With("component", "daemon")
 	}
 	tp := topo.NewTopology()
+	engine, err := funnel.NewStreamer(cfg.Store, tp, cfg.Pipeline, funnel.StreamConfig{
+		Workers: cfg.StreamWorkers,
+	})
+	if err != nil {
+		return nil, err
+	}
 	d := &Daemon{
-		store:  cfg.Store,
 		topo:   tp,
+		engine: engine,
 		obs:    col,
 		log:    logger,
-		events: make(chan func(), 256),
-		quit:   make(chan struct{}),
-		done:   make(chan struct{}),
 	}
-	var err error
-	if cfg.Stream {
-		var sr *funnel.Streamer
-		sr, err = funnel.NewStreamer(cfg.Store, tp, cfg.Pipeline, funnel.StreamConfig{
-			Workers:    cfg.StreamWorkers,
-			QueueDepth: cfg.StreamQueue,
-		})
-		if err != nil {
-			return nil, err
-		}
-		d.engine = sr
-	} else {
-		d.online, err = funnel.NewOnline(cfg.Store, tp, cfg.Pipeline)
-		if err != nil {
-			return nil, err
-		}
-		d.engine = d.online
-	}
-
-	// Event loop: measurements and admin commands serialize here. In
-	// streaming mode the store's bin feed drives the engine, so the
-	// loop skips the measurement subscription entirely (a nil channel
-	// never fires) and only serializes admin commands.
-	var sub <-chan monitor.Measurement
-	cancel := func() int { return 0 }
-	if !cfg.Stream {
-		sub, cancel = cfg.Store.Subscribe(nil, 1<<16)
-	}
-	go func() {
-		defer close(d.done)
-		defer cancel()
-		for {
-			select {
-			case <-d.quit:
-				return
-			case _, ok := <-sub:
-				if !ok {
-					return
-				}
-				// The store already holds the measurement (the
-				// subscription fires after the append); only the
-				// pending-change bookkeeping needs the tick.
-				d.online.Poll()
-			case fn := <-d.events:
-				fn()
-			}
-		}
-	}()
 
 	if cfg.IngestAddr != "" {
 		d.ingest = monitor.NewIngestServer(cfg.Store)
@@ -299,59 +235,38 @@ func (d *Daemon) Register(req RegisterRequest) error {
 	default:
 		return fmt.Errorf("daemon: unknown change type %q (want upgrade or config)", req.Type)
 	}
-	errc := make(chan error, 1)
-	fn := func() {
-		for _, srv := range req.Servers {
-			d.topo.Deploy(req.Service, srv)
-		}
-		errc <- d.engine.RegisterChange(changelog.Change{
-			ID: req.ID, Type: typ, Service: req.Service,
-			Servers: req.Servers, At: req.At,
-		})
+	if err := d.DeployService(req.Service, req.Servers...); err != nil {
+		return err
 	}
-	select {
-	case d.events <- fn:
-		select {
-		case err := <-errc:
-			if err == nil {
-				d.obs.Add(obs.CtrRegistrations, 1)
-				if d.log != nil {
-					d.log.Info("change registered",
-						"id", req.ID, "type", typ.String(),
-						"service", req.Service, "servers", len(req.Servers),
-						"at", req.At)
-				}
-			}
-			return err
-		case <-d.done:
-			return fmt.Errorf("daemon: closed")
-		}
-	case <-d.done:
-		return fmt.Errorf("daemon: closed")
+	if err := d.engine.RegisterChange(changelog.Change{
+		ID: req.ID, Type: typ, Service: req.Service,
+		Servers: req.Servers, At: req.At,
+	}); err != nil {
+		return err
 	}
+	d.obs.Add(obs.CtrRegistrations, 1)
+	if d.log != nil {
+		d.log.Info("change registered",
+			"id", req.ID, "type", typ.String(),
+			"service", req.Service, "servers", len(req.Servers),
+			"at", req.At)
+	}
+	return nil
 }
 
 // DeployService records extra service→server placements (e.g. the
 // control-group servers agents publish for), so impact sets see them.
 func (d *Daemon) DeployService(service string, servers ...string) error {
-	done := make(chan struct{})
-	fn := func() {
-		for _, srv := range servers {
-			d.topo.Deploy(service, srv)
-		}
-		close(done)
-	}
-	select {
-	case d.events <- fn:
-		select {
-		case <-done:
-			return nil
-		case <-d.done:
-			return fmt.Errorf("daemon: closed")
-		}
-	case <-d.done:
+	d.mu.Lock()
+	closed := d.closed
+	d.mu.Unlock()
+	if closed {
 		return fmt.Errorf("daemon: closed")
 	}
+	for _, srv := range servers {
+		d.topo.Deploy(service, srv)
+	}
+	return nil
 }
 
 // adminIdleTimeout bounds the silence between admin commands; an
@@ -433,8 +348,8 @@ func (d *Daemon) adminError(conn net.Conn, err error) {
 	fmt.Fprintf(conn, "error: %v\n", err)
 }
 
-// Close shuts down the endpoints and the event loop, then closes the
-// report stream.
+// Close shuts down the endpoints, waits for in-flight admin commands,
+// then stops the streamer and closes the report stream.
 func (d *Daemon) Close() {
 	d.mu.Lock()
 	if d.closed {
@@ -457,8 +372,6 @@ func (d *Daemon) Close() {
 		d.debugSrv.Close()
 	}
 	d.adminConn.Wait()
-	close(d.quit)
-	<-d.done
 	d.engine.Close()
 	d.obs.StopHistory()
 	if d.log != nil {

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"math/rand"
 	"net"
 	"net/http"
@@ -13,6 +14,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/changelog"
 	"repro/internal/funnel"
 	"repro/internal/monitor"
 	"repro/internal/obs"
@@ -373,6 +375,10 @@ func TestDaemonCloseIdempotent(t *testing.T) {
 	if err := d.DeployService("x", "y"); err == nil {
 		t.Fatal("deploy after close should fail")
 	}
+	err := d.Register(RegisterRequest{ID: "late", Service: "x", Servers: []string{"y"}, At: time.Now()})
+	if err == nil || err.Error() != "daemon: closed" {
+		t.Fatalf("register after close = %v, want daemon: closed", err)
+	}
 }
 
 // The durability story end to end: a daemon accumulates history, is
@@ -473,24 +479,21 @@ func waitForBins(t *testing.T, store *monitor.Store, n int) {
 	t.Fatal("store never caught up")
 }
 
-// TestDaemonStreamMode drives the same end-to-end scenario through the
-// streaming engine: network ingest feeds the bin feed, the streamer
-// advances scores per bin, and the report matches what the pull-mode
-// daemon emits for identical input.
+// TestDaemonStreamMode drives the end-to-end scenario through the
+// daemon's streaming engine: network ingest feeds the bin feed, the
+// streamer advances scores per bin, and the report matches a batch
+// assessment of the same store field by field.
 func TestDaemonStreamMode(t *testing.T) {
 	start := time.Date(2015, 12, 1, 0, 0, 0, 0, time.UTC)
 	store := monitor.NewStore(start, time.Minute)
 	col := obs.NewCollector()
+	pipeline := funnel.Config{ServerMetrics: []string{"mem.util"}, HistoryDays: 2}
 	d, err := Start(Config{
-		Store: store,
-		Pipeline: funnel.Config{
-			ServerMetrics: []string{"mem.util"},
-			HistoryDays:   2,
-		},
+		Store:      store,
+		Pipeline:   pipeline,
 		IngestAddr: "127.0.0.1:0",
 		AdminAddr:  "127.0.0.1:0",
 		Obs:        col,
-		Stream:     true,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -499,10 +502,11 @@ func TestDaemonStreamMode(t *testing.T) {
 	if err := d.DeployService("kv.cache", "d-0", "d-1", "d-2"); err != nil {
 		t.Fatal(err)
 	}
-	if err := d.Register(RegisterRequest{
+	req := RegisterRequest{
 		ID: "d-stream", Type: "config", Service: "kv.cache",
 		Servers: []string{"d-0"}, At: start.Add(changeMin * time.Minute),
-	}); err != nil {
+	}
+	if err := d.Register(req); err != nil {
 		t.Fatal(err)
 	}
 	publishScenario(t, d.IngestAddr(), start, changeMin+200)
@@ -524,43 +528,107 @@ func TestDaemonStreamMode(t *testing.T) {
 		t.Fatal("streaming report was not served from the score cache")
 	}
 
-	// The pull-mode daemon over the same measurements agrees verdict
-	// for verdict. Both run the same sliding sweep; a collector only
-	// watches, so attaching one to either side changes nothing.
-	store2 := monitor.NewStore(start, time.Minute)
-	d2, err := Start(Config{
-		Store:      store2,
-		Pipeline:   funnel.Config{ServerMetrics: []string{"mem.util"}, HistoryDays: 2},
-		IngestAddr: "127.0.0.1:0",
-		Obs:        obs.NewCollector(),
+	// The batch reference over the same store, without a collector:
+	// watching changes nothing, so every field but the trace agrees.
+	waitForBins(t, store, changeMin+200)
+	tp := topo.NewTopology()
+	for _, srv := range []string{"d-0", "d-1", "d-2"} {
+		tp.Deploy("kv.cache", srv)
+	}
+	a, err := funnel.NewAssessor(store, tp, pipeline)
+	if err != nil {
+		t.Fatal(err)
+	}
+	batchRep, err := a.Assess(changelog.Change{
+		ID: req.ID, Type: changelog.Config, Service: req.Service, Servers: req.Servers, At: req.At,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer d2.Close()
-	if err := d2.DeployService("kv.cache", "d-0", "d-1", "d-2"); err != nil {
-		t.Fatal(err)
+	if streamRep.ChangeBin != batchRep.ChangeBin || len(streamRep.Assessments) != len(batchRep.Assessments) {
+		t.Fatalf("report shape: stream (bin %d, %d KPIs), batch (bin %d, %d KPIs)",
+			streamRep.ChangeBin, len(streamRep.Assessments), batchRep.ChangeBin, len(batchRep.Assessments))
 	}
-	if err := d2.Register(RegisterRequest{
-		ID: "d-stream", Type: "config", Service: "kv.cache",
-		Servers: []string{"d-0"}, At: start.Add(changeMin * time.Minute),
-	}); err != nil {
-		t.Fatal(err)
-	}
-	publishScenario(t, d2.IngestAddr(), start, changeMin+200)
-	select {
-	case pullRep := <-d2.Reports():
-		if len(pullRep.Assessments) != len(streamRep.Assessments) {
-			t.Fatalf("assessment count: stream %d, pull %d",
-				len(streamRep.Assessments), len(pullRep.Assessments))
+	same := func(x, y float64) bool { return x == y || (math.IsNaN(x) && math.IsNaN(y)) }
+	for i := range batchRep.Assessments {
+		s, b := streamRep.Assessments[i], batchRep.Assessments[i]
+		if s.Key != b.Key || s.Verdict != b.Verdict || s.Detection != b.Detection ||
+			!same(s.Alpha, b.Alpha) || !same(s.TStat, b.TStat) || s.ControlKind != b.ControlKind ||
+			s.TrendWarning != b.TrendWarning || !same(s.GapFraction, b.GapFraction) ||
+			!same(s.ControlSimilarity, b.ControlSimilarity) || fmt.Sprint(s.Err) != fmt.Sprint(b.Err) {
+			t.Fatalf("assessment %d differs from batch:\n stream: %+v\n batch:  %+v", i, s, b)
 		}
-		for i := range pullRep.Assessments {
-			s, p := streamRep.Assessments[i], pullRep.Assessments[i]
-			if s.Key != p.Key || s.Verdict != p.Verdict || s.Detection != p.Detection {
-				t.Fatalf("assessment %d: stream %+v, pull %+v", i, s, p)
+	}
+}
+
+// TestDaemonRegisterWhileAssessing registers changes and deploys
+// services while the streamer assesses earlier ones. The store is
+// preloaded past every change's observation window, so each change is
+// ready as soon as it is registered: admin calls write the topology
+// while the assessment goroutine reads impact sets from it. Under
+// -race this pins that the topology guards itself.
+func TestDaemonRegisterWhileAssessing(t *testing.T) {
+	start := time.Date(2015, 12, 1, 0, 0, 0, 0, time.UTC)
+	store := monitor.NewStore(start, time.Minute)
+	servers := []string{"d-0", "d-1", "d-2"}
+	key := func(srv string) topo.KPIKey {
+		return topo.KPIKey{Scope: topo.ScopeServer, Entity: srv, Metric: "mem.util"}
+	}
+	const bins = 1440 + 400
+	rng := rand.New(rand.NewSource(9))
+	batch := make([]monitor.Measurement, 0, bins*len(servers))
+	for bin := 0; bin < bins; bin++ {
+		for _, srv := range servers {
+			batch = append(batch, monitor.Measurement{
+				Key: key(srv), T: start.Add(time.Duration(bin) * time.Minute), V: 58 + 0.6*rng.NormFloat64(),
+			})
+		}
+	}
+	store.AppendBatch(batch)
+	d, err := Start(Config{
+		Store:    store,
+		Pipeline: funnel.Config{ServerMetrics: []string{"mem.util"}, HistoryDays: 1},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+
+	const changes = 24
+	got := make(chan int, 1)
+	go func() {
+		n := 0
+		for range d.Reports() {
+			if n++; n == changes {
+				break
 			}
 		}
+		got <- n
+	}()
+	for i := 0; i < changes; i++ {
+		svc := fmt.Sprintf("race.svc%d", i)
+		if err := d.DeployService(svc, servers...); err != nil {
+			t.Fatal(err)
+		}
+		if err := d.Register(RegisterRequest{
+			ID: fmt.Sprintf("race-%d", i), Service: svc, Servers: servers[:1],
+			At: start.Add(time.Duration(1440+60+5*i) * time.Minute),
+		}); err != nil {
+			t.Fatal(err)
+		}
+		// One more bin on the tracked keys wakes the streamer's feed,
+		// so the change is assessed while the next one registers.
+		for _, srv := range servers {
+			store.Append(monitor.Measurement{Key: key(srv), T: start.Add(time.Duration(bins+i) * time.Minute), V: 58})
+		}
+		time.Sleep(time.Millisecond)
+	}
+	select {
+	case n := <-got:
+		if n != changes {
+			t.Fatalf("reports = %d, want %d", n, changes)
+		}
 	case <-time.After(60 * time.Second):
-		t.Fatal("no report from the pull daemon")
+		t.Fatal("not every registered change was assessed")
 	}
 }

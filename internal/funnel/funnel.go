@@ -477,14 +477,29 @@ func (a *Assessor) Assess(change changelog.Change) (*Report, error) {
 	assessments := make([]Assessment, n)
 	bins := make([]int, n)
 	var kts []*obs.KPITrace
+	// Bin-to-verdict is gated on the trace so the collector-less fast
+	// path stays allocation-free; sources with no arrival tracking
+	// (offline corpora) skip it via the type check.
+	as, _ := a.source.(ArrivalSource)
+	var arrivals []time.Time
 	if tr != nil {
 		kts = make([]*obs.KPITrace, n)
+		if as != nil {
+			arrivals = make([]time.Time, n)
+		}
 	}
 	run := func(i int) {
 		var kt *obs.KPITrace
 		if tr != nil {
 			kt = &obs.KPITrace{Key: keys[i].String()}
 			kts[i] = kt
+		}
+		if arrivals != nil {
+			// Read the watermark before the series: a measurement that
+			// lands while this KPI is being assessed did not inform its
+			// verdict and must not make the verdict look fresher (or
+			// older than its own emission).
+			arrivals[i], _ = as.ArrivalWatermark(keys[i])
 		}
 		assessments[i], bins[i] = a.assessKPI(change, set, keys[i], kt, cache, src, fx)
 	}
@@ -531,16 +546,13 @@ func (a *Assessor) Assess(change changelog.Change) (*Report, error) {
 	}
 	if tr != nil {
 		// Bin-to-verdict: stamp each KPI verdict with how stale its
-		// freshest evidence is at emission time. Gated on the trace so the
-		// collector-less fast path stays allocation-free; sources with no
-		// arrival tracking (offline corpora) skip it via the type check,
-		// and keys with no watermark (e.g. service-scope aggregates, which
-		// are computed rather than ingested) are skipped per key.
-		if as, ok := a.source.(ArrivalSource); ok {
+		// freshest evidence is at emission time. Keys with no watermark
+		// (e.g. service-scope aggregates, which are computed rather than
+		// ingested) are skipped per key.
+		if arrivals != nil {
 			verdictAt := time.Now()
-			for i := range keys {
-				arrival, ok := as.ArrivalWatermark(keys[i])
-				if !ok {
+			for i, arrival := range arrivals {
+				if arrival.IsZero() {
 					continue
 				}
 				lat := verdictAt.Sub(arrival)

@@ -461,40 +461,39 @@ func TestAssessorConfigAndChangeTime(t *testing.T) {
 
 func TestOnlinePollAndInstanceProbe(t *testing.T) {
 	// Instance-metric-only configuration exercises the instance probe
-	// branch of RegisterChange and the Poll path.
-	start := sc0Start()
-	store := monitorNewStore(start)
+	// branch of RegisterChange and the poll path.
+	start := time.Date(2015, 12, 1, 0, 0, 0, 0, time.UTC)
+	store := monitor.NewStore(start, time.Minute)
 	tp := topo.NewTopology()
 	tp.Deploy("svc", "s1")
 	tp.Deploy("svc", "s2")
-	online, err := NewOnline(store, tp, Config{
+	sr, err := NewStreamer(store, tp, Config{
 		InstanceMetrics: []string{"pv.count"},
 		HistoryDays:     1,
-	})
+	}, StreamConfig{Workers: 1, PollInterval: 5 * time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}
-	ch := changelogChange("c1", "svc", []string{"s1"}, start.Add((1440+120)*timeMinute()))
-	if err := online.RegisterChange(ch); err != nil {
+	defer sr.Close()
+	ch := changelog.Change{
+		ID: "c1", Type: changelog.Config, Service: "svc",
+		Servers: []string{"s1"}, At: start.Add((1440 + 120) * time.Minute),
+	}
+	if err := sr.RegisterChange(ch); err != nil {
 		t.Fatal(err)
 	}
-	if online.Pending() != 1 {
+	if sr.Pending() != 1 {
 		t.Fatal("change not pending")
 	}
-	online.Poll() // no data yet: still pending
-	if online.Pending() != 1 {
-		t.Fatal("Poll consumed a change without data")
+	time.Sleep(30 * time.Millisecond) // several poll ticks, no data yet
+	if sr.Pending() != 1 {
+		t.Fatal("a poll tick consumed a change without data")
 	}
-}
-
-// small wrappers keep the test body free of extra imports.
-func sc0Start() time.Time       { return time.Date(2015, 12, 1, 0, 0, 0, 0, time.UTC) }
-func timeMinute() time.Duration { return time.Minute }
-func monitorNewStore(start time.Time) *monitor.Store {
-	return monitor.NewStore(start, time.Minute)
-}
-func changelogChange(id, svc string, servers []string, at time.Time) changelog.Change {
-	return changelog.Change{ID: id, Type: changelog.Config, Service: svc, Servers: servers, At: at}
+	select {
+	case rep := <-sr.Reports():
+		t.Fatalf("report without data: %+v", rep.Assessments)
+	default:
+	}
 }
 
 func TestAlphaOverridesPerService(t *testing.T) {

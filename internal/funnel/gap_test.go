@@ -233,15 +233,16 @@ func TestOnlineForceAssessesStaleProbe(t *testing.T) {
 	for _, srv := range []string{"srv-0", "srv-1", "srv-2", "srv-3"} {
 		tp.Deploy("kv.cache", srv)
 	}
-	online, err := NewOnline(store, tp, Config{
+	sr, err := NewStreamer(store, tp, Config{
 		ServerMetrics: []string{"mem.util"},
 		WindowBins:    40,
 		StaleBins:     15,
-	})
+	}, StreamConfig{Workers: 1, PollInterval: 10 * time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := online.RegisterChange(gapChange(store, changeBin)); err != nil {
+	defer sr.Close()
+	if err := sr.RegisterChange(gapChange(store, changeBin)); err != nil {
 		t.Fatal(err)
 	}
 	// readyBin = changeBin + 40 + FutureSpan(17) = 157; feed healthy
@@ -253,30 +254,25 @@ func TestOnlineForceAssessesStaleProbe(t *testing.T) {
 			if srv == "srv-0" && bin >= changeBin+10 {
 				continue // probe feed severed shortly after the change
 			}
-			online.HandleMeasurement(monitor.Measurement{
+			store.Append(monitor.Measurement{
 				Key: topo.KPIKey{Scope: topo.ScopeServer, Entity: srv, Metric: "mem.util"},
 				T:   ts, V: 50 + 0.5*rng.NormFloat64(),
 			})
 		}
 	}
-	select {
-	case rep := <-online.Reports():
-		a := byEntity(rep)["srv-0"]
-		if a.Verdict != Inconclusive {
-			t.Fatalf("stale probe KPI = %v, want inconclusive", a.Verdict)
-		}
-	default:
-		t.Fatalf("no report emitted; pending = %d (stale probe wedged the change)", online.Pending())
+	rep := waitReport(t, sr.Reports())
+	if a := byEntity(rep)["srv-0"]; a.Verdict != Inconclusive {
+		t.Fatalf("stale probe KPI = %v, want inconclusive", a.Verdict)
 	}
 	// The forced cooldown keeps the change pending (a backfilled probe
 	// would still deliver the real verdict) without re-emitting.
-	if online.Pending() != 1 {
-		t.Fatalf("pending = %d after force-assess, want 1", online.Pending())
+	if sr.Pending() != 1 {
+		t.Fatalf("pending = %d after force-assess, want 1", sr.Pending())
 	}
-	online.Poll()
+	time.Sleep(50 * time.Millisecond) // several more poll ticks
 	select {
-	case rep := <-online.Reports():
-		t.Fatalf("severed probe re-emitted on the next poll tick: %+v", rep.Assessments)
+	case rep := <-sr.Reports():
+		t.Fatalf("severed probe re-emitted on a later poll tick: %+v", rep.Assessments)
 	default:
 	}
 }

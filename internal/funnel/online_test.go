@@ -10,9 +10,14 @@ import (
 	"repro/internal/topo"
 )
 
-// onlineFixture wires an Online assessor to a 3-server service with a
-// memory leak on the treated server.
-func onlineFixture(t *testing.T) (*Online, *monitor.Agent, changelog.Change, int) {
+// The tests in this file pin the online (§5) contract of the Streamer,
+// the deployed engine: changes are registered while measurements flow,
+// and each is assessed once its post-change window has arrived.
+
+// onlineFixture wires a Streamer to a 3-server service with a memory
+// leak on the treated server, measured by an agent writing into the
+// streamer's store.
+func onlineFixture(t *testing.T) (*Streamer, *monitor.Store, *monitor.Agent, changelog.Change, int) {
 	t.Helper()
 	start := time.Date(2015, 12, 1, 0, 0, 0, 0, time.UTC)
 	store := monitor.NewStore(start, time.Minute)
@@ -35,93 +40,67 @@ func onlineFixture(t *testing.T) (*Online, *monitor.Agent, changelog.Change, int
 				return v
 			})
 	}
-	online, err := NewOnline(store, tp, Config{
+	sr, err := NewStreamer(store, tp, Config{
 		ServerMetrics: []string{"mem.util"},
 		HistoryDays:   2,
-	})
+	}, StreamConfig{Workers: 1, PollInterval: 10 * time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Cleanup(sr.Close)
 	change := changelog.Change{
 		ID: "kv-1", Type: changelog.Config, Service: "kv.cache",
 		Servers: []string{"on-0"}, At: start.Add(changeMin * time.Minute),
 	}
-	return online, agent, change, changeMin
+	return sr, store, agent, change, changeMin
 }
 
 func TestOnlineEmitsReportWhenWindowCompletes(t *testing.T) {
-	online, agent, change, changeMin := onlineFixture(t)
+	sr, _, agent, change, changeMin := onlineFixture(t)
 
-	// Feed history, register the change at its deployment time, keep
-	// feeding. The agent writes into the same store, so drive Online's
-	// readiness check through HandleMeasurement on a probe key.
-	sub, cancel := storeOf(online).Subscribe(nil, 1<<16)
-	defer cancel()
-	go agent.Run(changeMin + 200)
-
-	registered := false
-	var report *Report
-	timeout := time.After(30 * time.Second)
-loop:
-	for {
-		select {
-		case m := <-sub:
-			// The subscription echoes the agent's appends; hand them to
-			// Online for pending-change bookkeeping (the store already
-			// has the data).
-			if !registered && !m.T.Before(change.At) {
-				if err := online.RegisterChange(change); err != nil {
-					t.Fatal(err)
-				}
-				registered = true
-			}
-			online.assessReady()
-			select {
-			case report = <-online.Reports():
-				break loop
-			default:
-			}
-		case <-timeout:
-			t.Fatal("no report before timeout")
-		}
+	// Feed history, register the change at its deployment time while
+	// the agent keeps measuring, and wait for the report.
+	agent.Run(changeMin + 1)
+	if err := sr.RegisterChange(change); err != nil {
+		t.Fatal(err)
 	}
-	if report == nil {
-		t.Fatal("nil report")
-	}
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		agent.Run(199)
+	}()
+	report := waitReport(t, sr.Reports())
+	<-done
 	flagged := report.Flagged()
 	if len(flagged) != 1 || flagged[0].Key.Entity != "on-0" {
 		t.Fatalf("flagged = %+v", flagged)
 	}
-	if online.Pending() != 0 {
-		t.Fatalf("pending = %d", online.Pending())
+	if sr.Pending() != 0 {
+		t.Fatalf("pending = %d", sr.Pending())
 	}
 }
-
-// storeOf exposes the online store for test wiring.
-func storeOf(o *Online) *monitor.Store { return o.store }
 
 func TestOnlineRegisterUnknownService(t *testing.T) {
-	online, _, change, _ := onlineFixture(t)
+	sr, _, _, change, _ := onlineFixture(t)
 	change.Service = "nope"
-	if err := online.RegisterChange(change); err == nil {
+	if err := sr.RegisterChange(change); err == nil {
 		t.Fatal("unknown service should be rejected at registration")
+	}
+	if sr.Pending() != 0 {
+		t.Fatalf("pending = %d after a rejected registration", sr.Pending())
 	}
 }
 
+// TestOnlineRunAndClose registers before any data, publishes the whole
+// scenario, and closes the engine: Close must close Reports() after
+// exactly the one report the change earned.
 func TestOnlineRunAndClose(t *testing.T) {
-	online, _, change, changeMin := onlineFixture(t)
-	ch := make(chan monitor.Measurement, 1024)
-	done := make(chan struct{})
-	go func() {
-		online.Run(ch)
-		close(done)
-	}()
-
-	start := storeOf(online).Start()
-	rng := rand.New(rand.NewSource(78))
-	if err := online.RegisterChange(change); err != nil {
+	sr, store, _, change, changeMin := onlineFixture(t)
+	if err := sr.RegisterChange(change); err != nil {
 		t.Fatal(err)
 	}
+	start := store.Start()
+	rng := rand.New(rand.NewSource(78))
 	total := changeMin + 200
 	for bin := 0; bin < total; bin++ {
 		ts := start.Add(time.Duration(bin) * time.Minute)
@@ -130,17 +109,17 @@ func TestOnlineRunAndClose(t *testing.T) {
 			if i == 0 && bin >= changeMin {
 				v += 9
 			}
-			ch <- monitor.Measurement{
+			store.Append(monitor.Measurement{
 				Key: topo.KPIKey{Scope: topo.ScopeServer, Entity: srv, Metric: "mem.util"},
 				T:   ts, V: v,
-			}
+			})
 		}
 	}
-	close(ch)
-	<-done
+	first := waitReport(t, sr.Reports())
+	sr.Close()
 
-	var reports []*Report
-	for rep := range online.Reports() {
+	reports := []*Report{first}
+	for rep := range sr.Reports() {
 		reports = append(reports, rep)
 	}
 	if len(reports) != 1 {

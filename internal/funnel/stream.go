@@ -15,15 +15,18 @@ import (
 	"repro/internal/topo"
 )
 
-// Streamer is the push-driven form of the online assessor: instead of
-// re-sweeping the full ±WindowBins assessment window when a change's
-// observation window completes (the pull path, Online), it subscribes
-// to the store's coalescing bin feed and advances a per-KPI sliding
-// scorer as each bin lands. By the time the last required bin arrives,
-// every score position is already computed, so materializing the
-// verdict costs only the DiD determination — the SST sweep, the
-// dominant term in bin-to-verdict latency, has been amortized to O(ω)
-// work per bin.
+// Streamer is the deployed form of FUNNEL (§5): it accepts software
+// change registrations as the operations team deploys them and emits an
+// assessment report for each change as soon as its post-change
+// observation window has fully arrived — the paper's "1 h is enough for
+// software change assessment" horizon plus the scorer's lookahead.
+// Instead of re-sweeping the full ±WindowBins assessment window at that
+// point, it subscribes to the store's coalescing bin feed and advances
+// a per-KPI sliding scorer as each bin lands. By the time the last
+// required bin arrives, every score position is already computed, so
+// materializing the verdict costs only the DiD determination — the SST
+// sweep, the dominant term in bin-to-verdict latency, has been
+// amortized to O(ω) work per bin.
 //
 // Correctness contract: streaming reports are byte-identical to the
 // batch path. The streamer never trusts its own incremental state —
@@ -67,25 +70,21 @@ type StreamConfig struct {
 	// Workers is the number of goroutines advancing per-KPI score
 	// states (default 2). Reports are identical for any worker count.
 	Workers int
-	// QueueDepth bounds the advance queue (default 1024). When the
-	// fleet outruns the workers, excess advance tasks are shed — the
-	// affected states simply catch up on a later wakeup or fall back
-	// to the batch sweep at assessment time.
-	QueueDepth int
 	// PollInterval is the fallback bookkeeping cadence: readiness and
 	// staleness are re-checked at least this often even if the feed
 	// goes quiet (default 500ms).
 	PollInterval time.Duration
-	// FeedKeys bounds the feed's dirty set (0 = the store default).
-	FeedKeys int
 }
+
+// streamQueueDepth bounds the advance queue. When the fleet outruns the
+// workers, excess advance tasks are shed — the affected states simply
+// catch up on a later wakeup or fall back to the batch sweep at
+// assessment time.
+const streamQueueDepth = 1024
 
 func (c StreamConfig) withDefaults() StreamConfig {
 	if c.Workers <= 0 {
 		c.Workers = 2
-	}
-	if c.QueueDepth <= 0 {
-		c.QueueDepth = 1024
 	}
 	if c.PollInterval <= 0 {
 		c.PollInterval = 500 * time.Millisecond
@@ -145,7 +144,7 @@ type kpiStream struct {
 
 // NewStreamer builds the streaming assessor on store and starts its
 // feed drain, scoring workers, and assessment loop. Close releases
-// them. The assessor configuration cfg is exactly the batch/pull one;
+// them. The assessor configuration cfg is exactly the batch one;
 // scfg tunes only the streaming machinery, never the verdicts.
 func NewStreamer(store *monitor.Store, tp *topo.Topology, cfg Config, scfg StreamConfig) (*Streamer, error) {
 	assessor, err := NewAssessor(store, tp, cfg)
@@ -160,13 +159,13 @@ func NewStreamer(store *monitor.Store, tp *topo.Topology, cfg Config, scfg Strea
 		scfg:     scfg,
 		tracked:  make(map[topo.KPIKey][]*kpiStream),
 		seen:     make(map[string]bool),
-		queue:    make(chan *kpiStream, scfg.QueueDepth),
+		queue:    make(chan *kpiStream, streamQueueDepth),
 		assessQ:  make(chan assessTask, 64),
 		out:      make(chan *Report, 16),
 		quit:     make(chan struct{}),
 	}
 	assessor.scores = sr
-	sr.feed = store.NewBinFeed(sr.feedFilter, scfg.FeedKeys)
+	sr.feed = store.NewBinFeed(sr.feedFilter, 0)
 	if sr.col != nil {
 		sr.col.SetGaugeFunc(obs.GaugeStreamQueue, func() int64 { return int64(len(sr.queue)) })
 		sr.col.SetGaugeFunc(obs.GaugeStreamTracked, sr.nTracked.Load)
@@ -225,13 +224,19 @@ func (sr *Streamer) Pending() int {
 	return len(sr.pending)
 }
 
-// RegisterChange records a deployed software change for streaming
-// assessment. Same contract as Online.RegisterChange: the service must
-// be known and the change ID fresh.
+// RegisterChange records a deployed software change for assessment.
+// Impact-set identification runs immediately to fail fast on bad
+// registrations: the service must be known, every server must host it,
+// and at least one server must be named. The change ID must be fresh —
+// a duplicate registration would double-assess and double-report the
+// same rollout.
 func (sr *Streamer) RegisterChange(c changelog.Change) error {
 	set, err := sr.assessor.topo.IdentifyImpactSet(c.Service, c.Servers)
 	if err != nil {
 		return err
+	}
+	if len(set.TServers) == 0 {
+		return fmt.Errorf("funnel: change %q names no servers", c.ID)
 	}
 	cfg := sr.assessor.cfg
 	probe := topo.KPIKey{Scope: topo.ScopeServer, Entity: set.TServers[0], Metric: firstMetric(cfg)}
@@ -268,6 +273,17 @@ func (sr *Streamer) RegisterChange(c changelog.Change) error {
 		sr.enqueue(ks)
 	}
 	return nil
+}
+
+// firstMetric picks the readiness-probe metric from the configuration.
+func firstMetric(cfg Config) string {
+	if len(cfg.ServerMetrics) > 0 {
+		return cfg.ServerMetrics[0]
+	}
+	if len(cfg.InstanceMetrics) > 0 {
+		return cfg.InstanceMetrics[0]
+	}
+	return ""
 }
 
 // newKPIStream builds the score state for one treated KPI. It drives
@@ -663,7 +679,7 @@ func (sr *Streamer) retire(sc *streamChange) {
 }
 
 // Close unregisters the feed, stops the workers, and closes the report
-// stream. Pending changes are dropped, as in Online.Close.
+// stream. Pending changes are dropped without a report.
 func (sr *Streamer) Close() {
 	sr.mu.Lock()
 	if sr.closed {

@@ -3,6 +3,7 @@ package funnel
 import (
 	"math"
 	"math/rand"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -389,61 +390,86 @@ func TestStreamerStaleProbeCooldown(t *testing.T) {
 	}
 }
 
-// TestOnlineStaleProbeCooldown is the pull-path regression for the
-// same fix: a severed probe forces one provisional report, not one per
-// poll tick, and a backfilled feed still yields the real verdict.
+// TestOnlineStaleProbeCooldown registers a change only after its
+// probe feed has already gone stale: the first poll tick forces one
+// provisional report, not one per tick, and a backfilled feed still
+// yields the real verdict.
 func TestOnlineStaleProbeCooldown(t *testing.T) {
 	fx := newStreamFixture()
 	store := monitor.NewStore(fx.start, time.Minute)
-	online, err := NewOnline(store, fx.buildTopo(), Config{ServerMetrics: []string{"mem.util"}, HistoryDays: 2})
+	sr, err := NewStreamer(store, fx.buildTopo(), Config{ServerMetrics: []string{"mem.util"}, HistoryDays: 2}, StreamConfig{Workers: 1, PollInterval: time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := online.RegisterChange(fx.change); err != nil {
-		t.Fatal(err)
-	}
+	defer sr.Close()
 	severedAt := fx.changeMin - 30
 	sever := func(srv string, bin int) bool { return srv == "on-0" && bin >= severedAt }
 	fx.feed(store, 0, fx.total, sever)
+	if err := sr.RegisterChange(fx.change); err != nil {
+		t.Fatal(err)
+	}
 
-	var reports []*Report
-	for i := 0; i < 50; i++ { // 50 poll ticks against a severed feed
-		online.Poll()
-		for {
-			select {
-			case rep := <-online.Reports():
-				reports = append(reports, rep)
-				continue
-			default:
-			}
-			break
-		}
-	}
-	if len(reports) != 1 {
-		t.Fatalf("severed probe emitted %d reports over 50 poll ticks, want exactly 1", len(reports))
-	}
-	if online.Pending() != 1 {
-		t.Fatalf("pending = %d, want 1 (awaiting recovery)", online.Pending())
-	}
-	for _, a := range reports[0].Assessments {
+	rep := waitReport(t, sr.Reports())
+	for _, a := range rep.Assessments {
 		if a.Verdict == ChangedBySoftware {
 			t.Fatalf("severed feed produced a flag: %+v", a)
 		}
+	}
+	time.Sleep(50 * time.Millisecond) // ~50 poll ticks against a severed feed
+	select {
+	case rep2 := <-sr.Reports():
+		t.Fatalf("severed probe re-emitted: %+v", rep2.Assessments)
+	default:
+	}
+	if sr.Pending() != 1 {
+		t.Fatalf("pending = %d, want 1 (awaiting recovery)", sr.Pending())
 	}
 
 	for bin := severedAt; bin < fx.total; bin++ {
 		store.Append(monitor.Measurement{Key: fx.key("on-0"), T: fx.start.Add(time.Duration(bin) * time.Minute), V: fx.values[0][bin]})
 	}
-	online.Poll()
-	select {
-	case rep := <-online.Reports():
-		if len(rep.Flagged()) != 1 {
-			t.Fatalf("recovered verdict not flagged: %+v", rep.Assessments)
-		}
-	default:
-		t.Fatal("no report after probe recovery")
+	final := waitReport(t, sr.Reports())
+	if len(final.Flagged()) != 1 {
+		t.Fatalf("recovered verdict not flagged: %+v", final.Assessments)
 	}
-	if online.Pending() != 0 {
-		t.Fatalf("pending = %d after recovery", online.Pending())
+	if sr.Pending() != 0 {
+		t.Fatalf("pending = %d after recovery", sr.Pending())
+	}
+}
+
+// TestStreamerRegisterRejects covers registration-time validation: bad
+// registrations fail fast instead of wedging or panicking the engine.
+func TestStreamerRegisterRejects(t *testing.T) {
+	fx := newStreamFixture()
+	cases := []struct {
+		name    string
+		edit    func(c *changelog.Change)
+		wantErr string
+	}{
+		{"server not hosting", func(c *changelog.Change) { c.Servers = []string{"on-0", "elsewhere"} }, "does not host"},
+		{"no servers", func(c *changelog.Change) { c.Servers = nil }, "names no servers"},
+		{"duplicate id", nil, "already registered"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			store := monitor.NewStore(fx.start, time.Minute)
+			sr, err := NewStreamer(store, fx.buildTopo(), Config{ServerMetrics: []string{"mem.util"}, HistoryDays: 2}, StreamConfig{Workers: 1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer sr.Close()
+			c := fx.change
+			if tc.edit == nil {
+				if err := sr.RegisterChange(c); err != nil {
+					t.Fatal(err)
+				}
+			} else {
+				tc.edit(&c)
+			}
+			err = sr.RegisterChange(c)
+			if err == nil || !strings.Contains(err.Error(), tc.wantErr) {
+				t.Fatalf("err = %v, want %q", err, tc.wantErr)
+			}
+		})
 	}
 }

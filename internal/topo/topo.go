@@ -14,6 +14,7 @@ import (
 	"fmt"
 	"sort"
 	"strings"
+	"sync"
 )
 
 // Scope identifies which kind of entity a KPI belongs to.
@@ -71,7 +72,12 @@ type Instance struct {
 
 // Topology is the registry of services, servers, instances and service
 // relationships. The zero value is not usable; call NewTopology.
+//
+// A Topology is safe for concurrent use: deployment data may keep
+// arriving while assessments read impact sets. Exported methods take
+// the lock once; the lower-case helpers they share assume it is held.
 type Topology struct {
+	mu        sync.RWMutex
 	servers   map[string]bool
 	services  map[string]bool
 	instances map[string]Instance
@@ -93,17 +99,27 @@ func NewTopology() *Topology {
 }
 
 // AddServer registers a server; idempotent.
-func (t *Topology) AddServer(name string) { t.servers[name] = true }
+func (t *Topology) AddServer(name string) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	t.servers[name] = true
+}
 
 // AddService registers a service; idempotent.
-func (t *Topology) AddService(name string) { t.services[name] = true }
+func (t *Topology) AddService(name string) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	t.services[name] = true
+}
 
 // Deploy places an instance of service on server, registering both as a
 // side effect, and returns the instance ID. Deploying the same pair
 // twice is idempotent.
 func (t *Topology) Deploy(service, server string) string {
-	t.AddService(service)
-	t.AddServer(server)
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	t.services[service] = true
+	t.servers[server] = true
 	id := InstanceID(service, server)
 	if _, ok := t.instances[id]; ok {
 		return id
@@ -128,8 +144,10 @@ func (t *Topology) Relate(a, b string) {
 	if a == b {
 		return
 	}
-	t.AddService(a)
-	t.AddService(b)
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	t.services[a] = true
+	t.services[b] = true
 	if t.edges[a] == nil {
 		t.edges[a] = make(map[string]bool)
 	}
@@ -142,6 +160,8 @@ func (t *Topology) Relate(a, b string) {
 
 // Services returns the registered service names, sorted.
 func (t *Topology) Services() []string {
+	t.mu.RLock()
+	defer t.mu.RUnlock()
 	out := make([]string, 0, len(t.services))
 	for s := range t.services {
 		out = append(out, s)
@@ -152,6 +172,8 @@ func (t *Topology) Services() []string {
 
 // Servers returns the registered server names, sorted.
 func (t *Topology) Servers() []string {
+	t.mu.RLock()
+	defer t.mu.RUnlock()
 	out := make([]string, 0, len(t.servers))
 	for s := range t.servers {
 		out = append(out, s)
@@ -162,6 +184,8 @@ func (t *Topology) Servers() []string {
 
 // InstancesOf returns the instance IDs of a service, sorted.
 func (t *Topology) InstancesOf(service string) []string {
+	t.mu.RLock()
+	defer t.mu.RUnlock()
 	out := make([]string, len(t.byService[service]))
 	copy(out, t.byService[service])
 	return out
@@ -169,12 +193,20 @@ func (t *Topology) InstancesOf(service string) []string {
 
 // Instance looks up an instance by ID.
 func (t *Topology) Instance(id string) (Instance, bool) {
+	t.mu.RLock()
+	defer t.mu.RUnlock()
 	in, ok := t.instances[id]
 	return in, ok
 }
 
 // ServersOf returns the servers hosting a service, sorted.
 func (t *Topology) ServersOf(service string) []string {
+	t.mu.RLock()
+	defer t.mu.RUnlock()
+	return t.serversOf(service)
+}
+
+func (t *Topology) serversOf(service string) []string {
 	ids := t.byService[service]
 	out := make([]string, 0, len(ids))
 	for _, id := range ids {
@@ -190,6 +222,12 @@ func (t *Topology) ServersOf(service string) []string {
 // services using the naming rules"). The result is sorted and excludes
 // the service itself.
 func (t *Topology) Related(service string) []string {
+	t.mu.RLock()
+	defer t.mu.RUnlock()
+	return t.related(service)
+}
+
+func (t *Topology) related(service string) []string {
 	set := make(map[string]bool)
 	for s := range t.edges[service] {
 		set[s] = true
@@ -226,13 +264,19 @@ func parentName(name string) string {
 // B and D directly and C through B), excluding the changed service
 // itself. The result is sorted.
 func (t *Topology) AffectedServices(changed string) []string {
+	t.mu.RLock()
+	defer t.mu.RUnlock()
+	return t.affectedServices(changed)
+}
+
+func (t *Topology) affectedServices(changed string) []string {
 	seen := map[string]bool{changed: true}
 	queue := []string{changed}
 	var out []string
 	for len(queue) > 0 {
 		cur := queue[0]
 		queue = queue[1:]
-		for _, next := range t.Related(cur) {
+		for _, next := range t.related(cur) {
 			if seen[next] {
 				continue
 			}
@@ -273,11 +317,13 @@ func (s *ImpactSet) Dark() bool { return len(s.CInstances) > 0 || len(s.CServers
 // service deployed on tservers. Servers in tservers that do not host
 // the service are rejected.
 func (t *Topology) IdentifyImpactSet(service string, tservers []string) (*ImpactSet, error) {
+	t.mu.RLock()
+	defer t.mu.RUnlock()
 	if !t.services[service] {
 		return nil, fmt.Errorf("topo: unknown service %q", service)
 	}
 	hosting := make(map[string]bool)
-	for _, srv := range t.ServersOf(service) {
+	for _, srv := range t.serversOf(service) {
 		hosting[srv] = true
 	}
 	treated := make(map[string]bool)
@@ -287,7 +333,7 @@ func (t *Topology) IdentifyImpactSet(service string, tservers []string) (*Impact
 		}
 		treated[srv] = true
 	}
-	set := &ImpactSet{ChangedService: service, AffectedServices: t.AffectedServices(service)}
+	set := &ImpactSet{ChangedService: service, AffectedServices: t.affectedServices(service)}
 	for srv := range hosting {
 		id := InstanceID(service, srv)
 		if treated[srv] {
